@@ -45,12 +45,6 @@ class PublicHistory:
     def __iter__(self):
         return iter(self._items)
 
-    def color_of(self, edge: Edge) -> Optional[ColorRef]:
-        for e, c in self._items:
-            if e == edge:
-                return c
-        return None
-
 
 AdaptiveGenerator = Callable[[PublicHistory], Optional[Arrival]]
 

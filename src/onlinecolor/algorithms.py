@@ -366,11 +366,3 @@ def _run_weighted(
         trace=trace,
     )
 
-
-RUNNERS = {
-    "greedy": run_greedy,
-    "randgreedy": run_randomized_greedy,
-    "alg1": run_alg1,
-    "alg2": run_alg2,
-    "listgreedy": run_list_greedy,
-}

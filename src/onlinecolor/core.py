@@ -212,7 +212,8 @@ class ColoringState:
         self.greedy_palette_size = 0
 
     def assign(self, e: Edge, color: ColorRef) -> None:
-        assert e not in self.assignment, f"edge {e} already colored"
+        if e in self.assignment:
+            raise ValueError(f"edge {e} already colored")
         self.assignment[e] = color
         used = {ALG: self.used_alg, GREEDY: self.used_greedy, LIST: self.used_list}[
             color.palette

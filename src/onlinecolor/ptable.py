@@ -22,6 +22,21 @@ and a monotone scale-only envelope certifies that the cap never interfered.
 Whenever the envelope comes near the cap we fall back to the exact merged
 replay.
 
+When only one endpoint of the edge has a log, the merged log is that log
+alone, so its exact replay is the same for every such edge at that vertex.
+``PTable`` keeps that row per vertex together with the number of events
+already applied, and a later call applies only the events logged since.
+The cached row equals a from-scratch replay byte for byte because the same
+``apply_event`` calls run in the same order on the same starting row.  This
+holds only while:
+
+* logs are append-only and in time order (``_append`` enforces it);
+* ``cap`` does not change after the first ``reconstruct``;
+* ``reconstruct_at`` always replays from scratch, so it may see a different
+  ``cap`` or a prefix of the log without touching the cache.
+
+Edges with both endpoints logged always replay the merged logs from scratch.
+
 ``DenseOracle`` is an independent eager implementation over an explicit
 (potential edge, color) matrix, kept only for differential testing.
 """
@@ -72,6 +87,8 @@ class PTable:
         self._env: dict[int, np.ndarray] = {}
         self._ones = np.ones(self.delta)
         self._last_time = 0
+        # vertex -> (exact row of its log alone, events of the log applied)
+        self._rows: dict[int, tuple[np.ndarray, int]] = {}
 
     # -- recording ---------------------------------------------------------
 
@@ -101,7 +118,10 @@ class PTable:
         self._append(e, event)
 
     def _append(self, e: Edge, event: VertexEvent) -> None:
-        assert event.time > self._last_time, "events must arrive in time order"
+        if event.time <= self._last_time:
+            raise ValueError(
+                f"events must arrive in time order: {event.time} after {self._last_time}"
+            )
         self._last_time = event.time
         for w in (e.u, e.v):
             self.logs.setdefault(w, []).append(event)
@@ -121,18 +141,16 @@ class PTable:
         cp_v = self._cp.get(e.v)
         if cp_u is None and cp_v is None:
             return np.full(self.delta, self.p0)
-        if cp_u is None:
-            env = self._env[e.v]
-            cp = cp_v
-        elif cp_v is None:
-            env = self._env[e.u]
-            cp = cp_u
+        if cp_u is None or cp_v is None:
+            w, cp = (e.u, cp_u) if cp_v is None else (e.v, cp_v)
+            env = self._env[w]
         else:
+            w = None
             env = self._env[e.u] * self._env[e.v]
             cp = cp_u * cp_v
         if np.all(self.p0 * env <= self.cap * _SCREEN_MARGIN):
             return self.p0 * cp
-        return self._replay(e)
+        return self._replay(e) if w is None else self._replay_one_sided(w)
 
     def reconstruct_at(self, e: Edge, t: int) -> np.ndarray:
         """P row of e as of time t (events with time <= t applied)."""
@@ -148,6 +166,23 @@ class PTable:
         for event in self._merged(e, upto):
             apply_event(p, event, self.cap)
         return p
+
+    def _replay_one_sided(self, w: int) -> np.ndarray:
+        """Exact row of an edge whose only logged endpoint is w.
+
+        Advances w's cached row through the events logged since the last
+        call and returns a copy, so the caller may keep or write the row.
+        Valid under the conditions in the module docstring: w's log only
+        grows, in time order, and ``cap`` is fixed.
+        """
+        log = self.logs[w]
+        row, done = self._rows.get(w, (None, 0))
+        if row is None:
+            row = np.full(self.delta, self.p0)
+        for event in log[done:]:
+            apply_event(row, event, self.cap)
+        self._rows[w] = (row, len(log))
+        return row.copy()
 
     def _merged(self, e: Edge, upto: Optional[int] = None) -> Iterable[VertexEvent]:
         log_u = self.logs.get(e.u, ())

@@ -178,6 +178,29 @@ class TestRun:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "results.csv").exists()
 
+    @pytest.mark.parametrize("algorithm, code", [("greedy", 0), ("nosuch", 2)])
+    def test_python_m_onlinecolor_exit_code(self, tmp_path, algorithm, code):
+        import subprocess
+        import sys
+
+        import onlinecolor
+
+        cfg = write_config(
+            tmp_path,
+            instance={"generator": "two_star_bridge", "delta": 3},
+            algorithm=algorithm,
+            seeds=[1],
+        )
+        src = os.path.dirname(os.path.dirname(onlinecolor.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "onlinecolor", "run", "--config", cfg,
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert (tmp_path / "results.csv").exists() == (code == 0)
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ONLINECOLOR_SEED", "42")
         cfg = write_config(

@@ -130,6 +130,16 @@ class TestValidateColoring:
         assert validate_coloring(res.edges, res.state).ok
 
 
+class TestColoringState:
+    def test_coloring_an_edge_twice_raises(self):
+        state = ColoringState()
+        state.assign(Edge(0, 1), alg_color(1))
+        with pytest.raises(ValueError, match="already colored"):
+            state.assign(Edge(0, 1), greedy_color(1))
+        assert state.assignment == {Edge(0, 1): alg_color(1)}
+        assert state.used_greedy[0] == set()
+
+
 class TestGreedyAssign:
     def test_fresh_state_gets_first_color(self):
         state = ColoringState()

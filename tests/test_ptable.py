@@ -15,7 +15,8 @@ from conftest import (
     sampled_differential,
 )
 from onlinecolor.core import Edge, RngHandle, derive_params
-from onlinecolor.adversaries import gen_random_graph
+from onlinecolor import algorithms
+from onlinecolor.adversaries import gen_gadget_farm, gen_random_graph
 from onlinecolor.ptable import DenseOracle, PTable
 
 
@@ -110,12 +111,16 @@ class TestRecording:
         assert table.reconstruct(Edge(0, 5))[1] == 0.0
         assert table.reconstruct(Edge(1, 5))[1] == 0.0
 
-    def test_out_of_order_time_asserts(self):
+    def test_out_of_order_time_raises(self):
         table = fresh_table()
         pvec = table.reconstruct(Edge(0, 1))
         table.record_sample(2, Edge(0, 1), pvec, 1)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="time order"):
             table.record_sample(2, Edge(2, 3), table.reconstruct(Edge(2, 3)), 1)
+        with pytest.raises(ValueError, match="time order"):
+            table.record_burn(1, Edge(2, 3), 1)
+        assert [ev.time for ev in table.logs[0]] == [2]
+        assert 2 not in table.logs
 
     def test_interleaved_endpoints_apply_in_time_order(self):
         # events alternate between the endpoints of the probed edge
@@ -197,6 +202,72 @@ class TestInvariants:
         fast = table.reconstruct(Edge(0, 1))
         exact = table._replay(Edge(0, 1))
         assert np.allclose(fast, exact, rtol=1e-13)
+
+
+class TestOneSidedReplayCache:
+    """Exact rows of edges with one logged endpoint come from a per-vertex
+    cached row; the from-scratch loop ``_replay`` is the reference."""
+
+    @pytest.mark.parametrize("colorer", [algorithms.run_alg1, algorithms.run_alg2])
+    @pytest.mark.parametrize("instance", ["gadget_farm", "random_graph"])
+    def test_rows_match_loop_replay_bytes(self, monkeypatch, colorer, instance):
+        if instance == "gadget_farm":
+            stream = gen_gadget_farm(8, 3)
+        else:
+            stream = gen_random_graph(30, 6, 70, RngHandle(0))
+        # a cap just above p0 fails the screen on most rows
+        params = derive_params(stream.n, stream.delta, "oblivious", eps=0.2, cap=0.15,
+                               badness_threshold=2, dangerous_threshold=10)
+        exact_calls = {"one_sided": 0, "two_sided": 0}
+        one_sided, two_sided = PTable._replay_one_sided, PTable._replay
+        reconstruct = PTable.reconstruct
+
+        def spy_one_sided(self, w):
+            exact_calls["one_sided"] += 1
+            return one_sided(self, w)
+
+        def spy_two_sided(self, e, upto=None):
+            exact_calls["two_sided"] += 1
+            return two_sided(self, e, upto)
+
+        def checked_reconstruct(self, e):
+            before = sum(exact_calls.values())
+            row = reconstruct(self, e)
+            if sum(exact_calls.values()) > before:  # the screen failed
+                assert row.tobytes() == two_sided(self, e).tobytes()
+            return row
+
+        monkeypatch.setattr(PTable, "_replay_one_sided", spy_one_sided)
+        monkeypatch.setattr(PTable, "_replay", spy_two_sided)
+        monkeypatch.setattr(PTable, "reconstruct", checked_reconstruct)
+        for seed in range(5):
+            colorer(stream, params, RngHandle(seed, 1))
+        assert exact_calls["one_sided"] > 0 and exact_calls["two_sided"] > 0
+
+    def star_table(self):
+        # delta=2, p0=0.25: one bottom draw at centre 0 lifts the envelope to
+        # 1/3 > cap, so every edge from 0 to a fresh vertex replays exactly
+        table = fresh_table(delta=2, eps=0.5, cap=0.3, n=10)
+        table.record_sample(1, Edge(0, 1), table.reconstruct(Edge(0, 1)), None)
+        return table
+
+    def test_writing_into_a_returned_row_leaves_the_cache_alone(self):
+        table = self.star_table()
+        first = table.reconstruct(Edge(0, 2))
+        expected = table._replay(Edge(0, 3)).tobytes()
+        assert first.tobytes() == expected
+        first[:] = 7.0
+        assert table.reconstruct(Edge(0, 3)).tobytes() == expected
+
+    def test_cache_catches_up_with_events_logged_between_calls(self):
+        table = self.star_table()
+        table.reconstruct(Edge(0, 2))
+        table.record_sample(2, Edge(0, 2), table.reconstruct(Edge(0, 2)), 1)
+        table.record_burn(3, Edge(0, 3), 2)
+        table.record_sample(4, Edge(5, 6), table.reconstruct(Edge(5, 6)), None)
+        row = table.reconstruct(Edge(0, 4))
+        assert row.tobytes() == table._replay(Edge(0, 4)).tobytes()
+        assert np.all(row == 0.0)
 
 
 class TestTraceDump:
